@@ -63,9 +63,12 @@ pub const LOCK_FREE_CRATES: [&str; 5] = ["ccq", "ccq-tensor", "ccq-nn", "ccq-qua
 /// threading primitives; everything else goes through them.
 pub const SANCTIONED_POOL_PATHS: [&str; 1] = ["crates/tensor/src/par.rs"];
 
-/// Files holding crash-durable state: checkpoint/run-state writers and
-/// the serve job spool. The `durability` rule family applies here.
-pub const DURABILITY_PATHS: [&str; 3] = [
+/// Files holding crash-durable state: the shared durable writer, the
+/// formats built on it, and the serve job spool. The `durability` rule
+/// family applies here; the formats stay in scope so a hand-rolled
+/// writer reintroduced there still fires.
+pub const DURABILITY_PATHS: [&str; 4] = [
+    "crates/nn/src/durable.rs",
     "crates/core/src/run_state.rs",
     "crates/nn/src/checkpoint.rs",
     "crates/infer/src/format.rs",
@@ -134,7 +137,7 @@ pub const RULES: [RuleInfo; 10] = [
     },
     RuleInfo {
         name: "durability",
-        scope: "run_state.rs, checkpoint.rs, infer/src/format.rs, and crates/serve/src/** (the crash-durable state writers), outside tests",
+        scope: "nn/src/durable.rs (the shared durable writer), run_state.rs, checkpoint.rs, infer/src/format.rs, and crates/serve/src/** (the crash-durable state writers), outside tests",
         rationale: "a rename not preceded by fsync, or a File::create on the final path, loses acknowledged state on power cut; the only sanctioned pattern is tmp + fsync + rename",
         waiver_policy: "line waiver explaining why the data is already durable (e.g. renaming a file fsynced by its writer)",
     },

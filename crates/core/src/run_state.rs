@@ -7,20 +7,20 @@
 //! learning curve so far. The on-disk format mirrors the checkpoint's
 //! self-contained little-endian layout under its own magic (`CCQRUNS`).
 //!
-//! Writes are atomic: the state is written to a temporary file, fsynced,
-//! and renamed over the destination, with the previous generation
-//! retained as `<path>.prev`. [`RunState::load_with_fallback`] falls back
-//! to the previous generation when the current file is torn or corrupt,
-//! so a crash mid-write never loses the run.
+//! Writes go through [`ccq_nn::durable::write_atomic`]: the state is
+//! written to a temporary file, fsynced, and renamed over the
+//! destination, with the previous generation retained as `<path>.prev`.
+//! [`RunState::load_with_fallback`] falls back to the previous
+//! generation when the current file is torn or corrupt, so a crash
+//! mid-write never loses the run.
 
 use crate::event::{StepRecord, TraceEvent, TracePoint};
 use crate::searcher::SearcherState;
 use crate::{CcqError, ExpertKind, Result};
 use ccq_nn::checkpoint::Checkpoint;
-use ccq_quant::BitWidth;
+use ccq_nn::durable::{self, ByteReader, ByteWriter, DurableError, Rotate};
 use ccq_tensor::Tensor;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 7] = b"CCQRUNS";
@@ -88,123 +88,100 @@ pub struct RunState {
 impl RunState {
     /// Serializes to the binary run-state format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        w_u64(&mut out, self.seed);
-        w_f32(&mut out, self.gamma);
-        w_u32(&mut out, self.ladder.len() as u32);
-        for &b in &self.ladder {
-            w_u32(&mut out, b);
-        }
-        out.push(self.granularity_code);
-        out.push(self.regime_code);
+        let mut w = ByteWriter::default();
+        w.raw(MAGIC);
+        w.u8(VERSION);
+        w.u64(self.seed);
+        w.f32(self.gamma);
+        w.list(&self.ladder, |w, &b| w.u32(b));
+        w.u8(self.granularity_code);
+        w.u8(self.regime_code);
         match &self.targets {
-            None => out.push(0),
+            None => w.u8(0),
             Some(t) => {
-                out.push(1);
-                w_u32(&mut out, t.len() as u32);
-                for &b in t {
-                    w_u32(&mut out, b);
-                }
+                w.u8(1);
+                w.list(t, |w, &b| w.u32(b));
             }
         }
-        w_u64(&mut out, self.next_step as u64);
-        w_u64(&mut out, self.epoch as u64);
-        w_f32(&mut out, self.baseline_accuracy);
-        w_f32(&mut out, self.last_accuracy);
-        w_f32(&mut out, self.lr);
-        w_f32(&mut out, self.base_lr);
+        w.u64(self.next_step as u64);
+        w.u64(self.epoch as u64);
+        w.f32(self.baseline_accuracy);
+        w.f32(self.last_accuracy);
+        w.f32(self.lr);
+        w.f32(self.base_lr);
         for &s in &self.rng {
-            w_u64(&mut out, s);
+            w.u64(s);
         }
-        w_f32(&mut out, self.plateau.0);
-        w_u64(&mut out, self.plateau.1 as u64);
+        w.f32(self.plateau.0);
+        w.u64(self.plateau.1 as u64);
         match self.plateau.2 {
-            None => out.push(0),
+            None => w.u8(0),
             Some(k) => {
-                out.push(1);
-                w_u64(&mut out, k as u64);
+                w.u8(1);
+                w.u64(k as u64);
             }
         }
         match &self.searcher {
             SearcherState::Hedge { pi } => {
-                out.push(TAG_HEDGE);
-                w_f32_list(&mut out, pi);
+                w.u8(TAG_HEDGE);
+                w.f32s(pi);
             }
             SearcherState::ZeroBit { pi } => {
-                out.push(TAG_ZERO_BIT);
-                w_f32_list(&mut out, pi);
+                w.u8(TAG_ZERO_BIT);
+                w.f32s(pi);
             }
             SearcherState::ReleqRl {
                 theta,
                 baseline,
                 updates,
             } => {
-                out.push(TAG_RELEQ);
-                w_f32_list(&mut out, theta);
-                w_f32(&mut out, *baseline);
-                w_u64(&mut out, *updates);
+                w.u8(TAG_RELEQ);
+                w.f32s(theta);
+                w.f32(*baseline);
+                w.u64(*updates);
             }
             SearcherState::OneShot {
                 order,
                 sensitivities,
             } => {
-                out.push(TAG_ONE_SHOT);
-                w_u32(&mut out, order.len() as u32);
-                for &s in order {
-                    w_u32(&mut out, s as u32);
-                }
-                w_f32_list(&mut out, sensitivities);
+                w.u8(TAG_ONE_SHOT);
+                w.list(order, |w, &s| w.count(s));
+                w.f32s(sensitivities);
             }
         }
-        w_u64(&mut out, self.rollbacks);
-        w_u32(&mut out, self.velocities.len() as u32);
-        for t in &self.velocities {
-            w_u32(&mut out, t.rank() as u32);
-            for &d in t.shape() {
-                w_u32(&mut out, d as u32);
-            }
-            for &v in t.as_slice() {
-                w_f32(&mut out, v);
-            }
-        }
-        let ckpt = self.ckpt.to_bytes();
-        w_u32(&mut out, ckpt.len() as u32);
-        out.extend_from_slice(&ckpt);
-        w_u32(&mut out, self.trace.len() as u32);
-        for p in &self.trace {
-            w_u64(&mut out, p.epoch as u64);
-            w_f32(&mut out, p.val_accuracy);
-            w_f32(&mut out, p.lr);
+        w.u64(self.rollbacks);
+        w.list(&self.velocities, ByteWriter::tensor);
+        w.bytes(&self.ckpt.to_bytes());
+        w.list(&self.trace, |w, p| {
+            w.u64(p.epoch as u64);
+            w.f32(p.val_accuracy);
+            w.f32(p.lr);
             match p.event {
-                TraceEvent::Baseline => out.push(0),
-                TraceEvent::InitQuantize => out.push(1),
+                TraceEvent::Baseline => w.u8(0),
+                TraceEvent::InitQuantize => w.u8(1),
                 TraceEvent::QuantStep { layer, to_bits } => {
-                    out.push(2);
-                    w_u32(&mut out, layer as u32);
-                    w_u32(&mut out, to_bits.bits());
+                    w.u8(2);
+                    w.count(layer);
+                    w.bits(to_bits);
                 }
-                TraceEvent::Recovery => out.push(3),
+                TraceEvent::Recovery => w.u8(3),
             }
-        }
-        w_u32(&mut out, self.steps.len() as u32);
-        for s in &self.steps {
-            w_u64(&mut out, s.step as u64);
-            w_u32(&mut out, s.layer as u32);
-            out.push(kind_code(s.kind));
-            w_u32(&mut out, s.label.len() as u32);
-            out.extend_from_slice(s.label.as_bytes());
-            w_u32(&mut out, s.from_bits.bits());
-            w_u32(&mut out, s.to_bits.bits());
-            w_f32(&mut out, s.accuracy_before);
-            w_f32(&mut out, s.accuracy_after_quant);
-            w_f32(&mut out, s.accuracy_after_recovery);
-            w_u64(&mut out, s.recovery_epochs as u64);
-            out.extend_from_slice(&s.compression.to_le_bytes());
-            w_f32(&mut out, s.lambda);
-        }
-        out
+        });
+        w.list(&self.steps, |w, s| {
+            w.u64(s.step as u64);
+            w.count(s.layer);
+            w.u8(kind_code(s.kind));
+            w.str(&s.label);
+            w.bits(s.from_bits);
+            w.bits(s.to_bits);
+            w.f32(s.accuracy_before);
+            w.f32(s.accuracy_after_quant);
+            w.f32(s.accuracy_after_recovery);
+            w.u64(s.recovery_epochs as u64);
+            w.f64(s.compression);
+            w.f32(s.lambda);
+        });
+        w.finish()
     }
 
     /// Serializes in the legacy v1 layout — a bare Hedge π vector where
@@ -231,14 +208,12 @@ impl RunState {
         // restart tag, so split the v2 bytes around it.
         let head_len = self.header_len();
         let sect_len = 1 + 4 + 4 * pi.len() + 8; // tag + len + f32s + rollbacks
-        let mut out = Vec::new();
-        out.extend_from_slice(&v2[..head_len]);
+        let mut w = ByteWriter::default();
+        w.raw(&v2[..head_len]);
+        w.f32s(pi);
+        w.raw(&v2[head_len + sect_len..]);
+        let mut out = w.finish();
         out[7] = 1; // version byte
-        w_u32(&mut out, pi.len() as u32);
-        for &p in pi {
-            w_f32(&mut out, p);
-        }
-        out.extend_from_slice(&v2[head_len + sect_len..]);
         out
     }
 
@@ -263,202 +238,103 @@ impl RunState {
     /// Returns [`CcqError::CheckpointIo`] on a truncated or malformed
     /// buffer, a bad magic, or an unsupported version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let cur = &mut &bytes[..];
-        let mut magic = [0u8; 7];
-        r_exact(cur, &mut magic)?;
-        if &magic != MAGIC {
-            return Err(malformed("not a CCQ run state (bad magic)"));
-        }
-        let version = r_u8(cur)?;
+        Self::decode(&mut ByteReader::new(bytes))
+            .map_err(|e| CcqError::CheckpointIo(format!("malformed run state: {e}")))
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> std::result::Result<Self, DurableError> {
+        r.magic(MAGIC, "CCQ run state")?;
+        let version = r.u8()?;
         if !(1..=VERSION).contains(&version) {
-            return Err(malformed(&format!(
+            return Err(invalid(format!(
                 "unsupported run-state version {version} (this build reads versions 1..={VERSION})"
             )));
         }
-        let seed = r_u64(cur)?;
-        let gamma = r_f32(cur)?;
-        let n_rungs = r_u32(cur)? as usize;
-        if n_rungs > 64 {
-            return Err(malformed("implausible ladder length"));
-        }
-        let mut ladder = Vec::with_capacity(n_rungs);
-        for _ in 0..n_rungs {
-            ladder.push(r_u32(cur)?);
-        }
-        let granularity_code = r_u8(cur)?;
-        let regime_code = r_u8(cur)?;
-        let targets = match r_u8(cur)? {
+        let seed = r.u64()?;
+        let gamma = r.f32()?;
+        let ladder = r.list(ByteReader::u32)?;
+        let granularity_code = r.u8()?;
+        let regime_code = r.u8()?;
+        let targets = match r.u8()? {
             0 => None,
-            1 => {
-                let n = r_u32(cur)? as usize;
-                if n > 1 << 20 {
-                    return Err(malformed("implausible target count"));
-                }
-                let mut t = Vec::with_capacity(n);
-                for _ in 0..n {
-                    t.push(r_u32(cur)?);
-                }
-                Some(t)
-            }
-            other => return Err(malformed(&format!("bad targets tag {other}"))),
+            1 => Some(r.list(ByteReader::u32)?),
+            other => return Err(invalid(format!("bad targets tag {other}"))),
         };
-        let next_step = r_u64(cur)? as usize;
-        let epoch = r_u64(cur)? as usize;
-        let baseline_accuracy = r_f32(cur)?;
-        let last_accuracy = r_f32(cur)?;
-        let lr = r_f32(cur)?;
-        let base_lr = r_f32(cur)?;
+        let next_step = r.u64()? as usize;
+        let epoch = r.u64()? as usize;
+        let baseline_accuracy = r.f32()?;
+        let last_accuracy = r.f32()?;
+        let lr = r.f32()?;
+        let base_lr = r.f32()?;
         let mut rng = [0u64; 4];
         for s in &mut rng {
-            *s = r_u64(cur)?;
+            *s = r.u64()?;
         }
-        let plateau_best = r_f32(cur)?;
-        let plateau_since = r_u64(cur)? as usize;
-        let plateau_restart = match r_u8(cur)? {
+        let plateau_best = r.f32()?;
+        let plateau_since = r.u64()? as usize;
+        let plateau_restart = match r.u8()? {
             0 => None,
-            1 => Some(r_u64(cur)? as usize),
-            other => return Err(malformed(&format!("bad restart tag {other}"))),
+            1 => Some(r.u64()? as usize),
+            other => return Err(invalid(format!("bad restart tag {other}"))),
         };
         let (searcher, rollbacks) = if version == 1 {
             // v1 predates the searcher abstraction: a bare π vector, no
             // rollback counter. Only the Hedge searcher existed, so the
             // mapping is lossless and resume stays byte-identical.
-            (
-                SearcherState::Hedge {
-                    pi: r_f32_list(cur)?,
-                },
-                0u64,
-            )
+            (SearcherState::Hedge { pi: r.f32s()? }, 0u64)
         } else {
-            let searcher = match r_u8(cur)? {
-                TAG_HEDGE => SearcherState::Hedge {
-                    pi: r_f32_list(cur)?,
-                },
-                TAG_ZERO_BIT => SearcherState::ZeroBit {
-                    pi: r_f32_list(cur)?,
-                },
+            let searcher = match r.u8()? {
+                TAG_HEDGE => SearcherState::Hedge { pi: r.f32s()? },
+                TAG_ZERO_BIT => SearcherState::ZeroBit { pi: r.f32s()? },
                 TAG_RELEQ => SearcherState::ReleqRl {
-                    theta: r_f32_list(cur)?,
-                    baseline: r_f32(cur)?,
-                    updates: r_u64(cur)?,
+                    theta: r.f32s()?,
+                    baseline: r.f32()?,
+                    updates: r.u64()?,
                 },
-                TAG_ONE_SHOT => {
-                    let n = r_u32(cur)? as usize;
-                    if n > 1 << 20 {
-                        return Err(malformed("implausible one-shot order length"));
-                    }
-                    let mut order = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        order.push(r_u32(cur)? as usize);
-                    }
-                    SearcherState::OneShot {
-                        order,
-                        sensitivities: r_f32_list(cur)?,
-                    }
-                }
-                other => return Err(malformed(&format!("bad searcher tag {other}"))),
+                TAG_ONE_SHOT => SearcherState::OneShot {
+                    order: r.list(ByteReader::count)?,
+                    sensitivities: r.f32s()?,
+                },
+                other => return Err(invalid(format!("bad searcher tag {other}"))),
             };
-            (searcher, r_u64(cur)?)
+            (searcher, r.u64()?)
         };
-        let n_vel = r_u32(cur)? as usize;
-        if n_vel > 1 << 20 {
-            return Err(malformed("implausible velocity count"));
-        }
-        let mut velocities = Vec::with_capacity(n_vel);
-        for _ in 0..n_vel {
-            let rank = r_u32(cur)? as usize;
-            if rank > 8 {
-                return Err(malformed("implausible tensor rank"));
-            }
-            let mut dims = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                dims.push(r_u32(cur)? as usize);
-            }
-            let numel: usize = dims.iter().product();
-            if numel > 1 << 28 {
-                return Err(malformed("implausible tensor size"));
-            }
-            let mut data = Vec::with_capacity(numel);
-            for _ in 0..numel {
-                data.push(r_f32(cur)?);
-            }
-            velocities.push(Tensor::from_vec(data, &dims).map_err(|e| malformed(&e.to_string()))?);
-        }
-        let ckpt_len = r_u32(cur)? as usize;
-        if cur.len() < ckpt_len {
-            return Err(malformed("truncated run state"));
-        }
-        let ckpt = Checkpoint::from_bytes(&cur[..ckpt_len])
-            .map_err(|e| malformed(&format!("embedded checkpoint: {e}")))?;
-        *cur = &cur[ckpt_len..];
-        let n_trace = r_u32(cur)? as usize;
-        if n_trace > 1 << 24 {
-            return Err(malformed("implausible trace length"));
-        }
-        let mut trace = Vec::with_capacity(n_trace);
-        for _ in 0..n_trace {
-            let epoch = r_u64(cur)? as usize;
-            let val_accuracy = r_f32(cur)?;
-            let lr = r_f32(cur)?;
-            let event = match r_u8(cur)? {
-                0 => TraceEvent::Baseline,
-                1 => TraceEvent::InitQuantize,
-                2 => {
-                    let layer = r_u32(cur)? as usize;
-                    let to_bits = bitwidth(r_u32(cur)?)?;
-                    TraceEvent::QuantStep { layer, to_bits }
-                }
-                3 => TraceEvent::Recovery,
-                other => return Err(malformed(&format!("bad trace event tag {other}"))),
-            };
-            trace.push(TracePoint {
-                epoch,
-                val_accuracy,
-                lr,
-                event,
-            });
-        }
-        let n_steps = r_u32(cur)? as usize;
-        if n_steps > 1 << 24 {
-            return Err(malformed("implausible step count"));
-        }
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            let step = r_u64(cur)? as usize;
-            let layer = r_u32(cur)? as usize;
-            let kind = kind_from_code(r_u8(cur)?)?;
-            let label_len = r_u32(cur)? as usize;
-            if cur.len() < label_len || label_len > 1 << 16 {
-                return Err(malformed("truncated run state"));
-            }
-            let label = String::from_utf8(cur[..label_len].to_vec())
-                .map_err(|_| malformed("step label is not UTF-8"))?;
-            *cur = &cur[label_len..];
-            let from_bits = bitwidth(r_u32(cur)?)?;
-            let to_bits = bitwidth(r_u32(cur)?)?;
-            let accuracy_before = r_f32(cur)?;
-            let accuracy_after_quant = r_f32(cur)?;
-            let accuracy_after_recovery = r_f32(cur)?;
-            let recovery_epochs = r_u64(cur)? as usize;
-            let mut c = [0u8; 8];
-            r_exact(cur, &mut c)?;
-            let compression = f64::from_le_bytes(c);
-            let lambda = r_f32(cur)?;
-            steps.push(StepRecord {
-                step,
-                layer,
-                kind,
-                label,
-                from_bits,
-                to_bits,
-                accuracy_before,
-                accuracy_after_quant,
-                accuracy_after_recovery,
-                recovery_epochs,
-                compression,
-                lambda,
-            });
-        }
+        let velocities = r.list(ByteReader::tensor)?;
+        let ckpt = Checkpoint::from_bytes(r.bytes()?)
+            .map_err(|e| invalid(format!("embedded checkpoint: {e}")))?;
+        let trace = r.list(|r| {
+            Ok(TracePoint {
+                epoch: r.u64()? as usize,
+                val_accuracy: r.f32()?,
+                lr: r.f32()?,
+                event: match r.u8()? {
+                    0 => TraceEvent::Baseline,
+                    1 => TraceEvent::InitQuantize,
+                    2 => TraceEvent::QuantStep {
+                        layer: r.count()?,
+                        to_bits: r.bits()?,
+                    },
+                    3 => TraceEvent::Recovery,
+                    other => return Err(invalid(format!("bad trace event tag {other}"))),
+                },
+            })
+        })?;
+        let steps = r.list(|r| {
+            Ok(StepRecord {
+                step: r.u64()? as usize,
+                layer: r.count()?,
+                kind: kind_from_code(r.u8()?)?,
+                label: r.string("step label")?,
+                from_bits: r.bits()?,
+                to_bits: r.bits()?,
+                accuracy_before: r.f32()?,
+                accuracy_after_quant: r.f32()?,
+                accuracy_after_recovery: r.f32()?,
+                recovery_epochs: r.u64()? as usize,
+                compression: r.f64()?,
+                lambda: r.f32()?,
+            })
+        })?;
         Ok(RunState {
             seed,
             gamma,
@@ -483,11 +359,10 @@ impl RunState {
         })
     }
 
-    /// Atomically writes the state to `path`: the bytes go to
-    /// `<path>.tmp`, are fsynced, and renamed into place; an existing
-    /// current file is first rotated to `<path>.prev` so the last good
-    /// generation survives a torn write. The parent directory is then
-    /// fsynced so the renames themselves survive power loss.
+    /// Atomically writes the state to `path` with
+    /// [`durable::write_atomic`]: tmp + fsync + rename, the existing
+    /// current file first rotated to `<path>.prev` so the last good
+    /// generation survives a torn write, then a parent-directory fsync.
     ///
     /// # Errors
     ///
@@ -516,36 +391,13 @@ impl RunState {
     }
 
     fn write_atomic_inner(&self, path: &Path, inject_dir_sync_failure: bool) -> Result<()> {
-        let io = |e: std::io::Error, what: &str| {
-            CcqError::CheckpointIo(format!("{what} {}: {e}", path.display()))
-        };
-        let tmp = sibling(path, ".tmp");
-        let prev = sibling(path, ".prev");
-        let mut f = fs::File::create(&tmp).map_err(|e| io(e, "create tmp for"))?;
-        f.write_all(&self.to_bytes())
-            .map_err(|e| io(e, "write tmp for"))?;
-        f.sync_all().map_err(|e| io(e, "fsync tmp for"))?;
-        drop(f);
-        if path.exists() {
-            fs::rename(path, &prev).map_err(|e| io(e, "rotate previous for"))?;
-        }
-        fs::rename(&tmp, path).map_err(|e| io(e, "rename into"))?;
-        if inject_dir_sync_failure {
-            return Err(CcqError::CheckpointIo(format!(
-                "injected directory fsync failure for {}",
-                path.display()
-            )));
-        }
-        // Durability of the renames themselves: a rename that only lives
-        // in the directory's page cache is lost on power failure. Opening
-        // the directory is skipped silently where unsupported, but a
-        // failed fsync on an opened directory is a real durability error.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = fs::File::open(dir) {
-                d.sync_all().map_err(|e| io(e, "fsync parent dir of"))?;
-            }
-        }
-        Ok(())
+        durable::write_atomic_faulted(
+            path,
+            &self.to_bytes(),
+            Rotate::KeepPrev,
+            inject_dir_sync_failure,
+        )
+        .map_err(|e| CcqError::CheckpointIo(e.to_string()))
     }
 
     /// Loads the state from `path`, falling back to the retained
@@ -557,14 +409,7 @@ impl RunState {
     /// Returns the current file's [`CcqError::CheckpointIo`] when neither
     /// generation loads.
     pub fn load_with_fallback(path: &Path) -> Result<Self> {
-        let current = Self::load(path);
-        match current {
-            Ok(s) => Ok(s),
-            Err(primary) => match Self::load(&sibling(path, ".prev")) {
-                Ok(s) => Ok(s),
-                Err(_) => Err(primary),
-            },
-        }
+        durable::load_with_fallback(path, Self::load)
     }
 
     /// [`RunState::load_with_fallback`] with a fault plan consulted on
@@ -594,13 +439,14 @@ impl RunState {
             )));
         }
         if plan.take_read_corruption() {
-            return match Self::load_corrupted(path) {
-                Ok(s) => Ok(s),
-                Err(primary) => match Self::load(&sibling(path, ".prev")) {
-                    Ok(s) => Ok(s),
-                    Err(_) => Err(primary),
-                },
-            };
+            let mut primary = true;
+            return durable::load_with_fallback(path, |p| {
+                if std::mem::take(&mut primary) {
+                    Self::load_corrupted(p)
+                } else {
+                    Self::load(p)
+                }
+            });
         }
         Self::load_with_fallback(path)
     }
@@ -636,15 +482,8 @@ impl RunState {
     }
 }
 
-/// `<path><suffix>` alongside the original file.
-fn sibling(path: &Path, suffix: &str) -> std::path::PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(suffix);
-    std::path::PathBuf::from(s)
-}
-
-fn malformed(msg: &str) -> CcqError {
-    CcqError::CheckpointIo(format!("malformed run state: {msg}"))
+fn invalid(msg: String) -> DurableError {
+    DurableError::Format(msg)
 }
 
 fn kind_code(k: ExpertKind) -> u8 {
@@ -655,90 +494,21 @@ fn kind_code(k: ExpertKind) -> u8 {
     }
 }
 
-fn kind_from_code(c: u8) -> Result<ExpertKind> {
+fn kind_from_code(c: u8) -> std::result::Result<ExpertKind, DurableError> {
     Ok(match c {
         0 => ExpertKind::Layer,
         1 => ExpertKind::Weights,
         2 => ExpertKind::Activations,
-        other => return Err(malformed(&format!("unknown expert kind {other}"))),
+        other => return Err(invalid(format!("unknown expert kind {other}"))),
     })
-}
-
-fn bitwidth(bits: u32) -> Result<BitWidth> {
-    // Zero is a legal stored width: the zero-bit searcher quantizes
-    // layers down to the pruning rung.
-    BitWidth::new_allowing_zero(bits).map_err(|e| malformed(&e.to_string()))
-}
-
-fn w_f32_list(out: &mut Vec<u8>, vals: &[f32]) {
-    w_u32(out, vals.len() as u32);
-    for &v in vals {
-        w_f32(out, v);
-    }
-}
-
-fn r_f32_list(cur: &mut &[u8]) -> Result<Vec<f32>> {
-    let n = r_u32(cur)? as usize;
-    if n > 1 << 20 {
-        return Err(malformed("implausible weight-vector length"));
-    }
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(r_f32(cur)?);
-    }
-    Ok(vals)
-}
-
-fn w_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn r_exact(cur: &mut &[u8], buf: &mut [u8]) -> Result<()> {
-    if cur.len() < buf.len() {
-        return Err(malformed("truncated run state"));
-    }
-    buf.copy_from_slice(&cur[..buf.len()]);
-    *cur = &cur[buf.len()..];
-    Ok(())
-}
-
-fn r_u8(cur: &mut &[u8]) -> Result<u8> {
-    let mut b = [0u8; 1];
-    r_exact(cur, &mut b)?;
-    Ok(b[0])
-}
-
-fn r_u32(cur: &mut &[u8]) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r_exact(cur, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn r_u64(cur: &mut &[u8]) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r_exact(cur, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn r_f32(cur: &mut &[u8]) -> Result<f32> {
-    let mut b = [0u8; 4];
-    r_exact(cur, &mut b)?;
-    Ok(f32::from_le_bytes(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccq_models::mlp;
-    use ccq_quant::PolicyKind;
+    use ccq_quant::{BitWidth, PolicyKind};
+    use proptest::prelude::*;
 
     fn sample() -> RunState {
         let mut net = mlp(&[4, 8, 2], PolicyKind::Pact, 0);
@@ -798,7 +568,13 @@ mod tests {
     #[test]
     fn round_trip_is_exact() {
         let s = sample();
-        let restored = RunState::from_bytes(&s.to_bytes()).unwrap();
+        let bytes = s.to_bytes();
+        // Byte pin: any drift in the CCQRUNS v2 encoding changes this digest.
+        assert_eq!(
+            (durable::fnv1a(&bytes), bytes.len()),
+            (0xd5e6_d48d_4103_3ea5, 883)
+        );
+        let restored = RunState::from_bytes(&bytes).unwrap();
         assert_eq!(restored, s);
     }
 
@@ -892,6 +668,24 @@ mod tests {
             CcqError::CheckpointIo(msg) => assert!(msg.contains("version 99"), "{msg}"),
             other => panic!("expected CheckpointIo, got {other:?}"),
         }
+        // Hostile velocity headers after a valid prefix: a rank-3 tensor
+        // whose element count overflows, and a 16384x16384 tensor with
+        // no data behind it (must not reserve 1 GiB first).
+        let s = sample();
+        let SearcherState::Hedge { pi } = &s.searcher else {
+            unreachable!("sample() is Hedge")
+        };
+        let velocities_at = s.header_len() + 1 + 4 + 4 * pi.len() + 8;
+        for dims in [&[u32::MAX; 3][..], &[16384, 16384]] {
+            let mut hostile = s.to_bytes()[..velocities_at].to_vec();
+            hostile.extend(1u32.to_le_bytes());
+            hostile.extend((dims.len() as u32).to_le_bytes());
+            dims.iter().for_each(|d| hostile.extend(d.to_le_bytes()));
+            assert!(matches!(
+                RunState::from_bytes(&hostile),
+                Err(CcqError::CheckpointIo(_))
+            ));
+        }
     }
 
     #[test]
@@ -900,7 +694,7 @@ mod tests {
         let _ = fs::create_dir_all(&dir);
         let path = dir.join("state.ccqruns");
         let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(sibling(&path, ".prev"));
+        let _ = fs::remove_file(durable::prev_path(&path));
 
         let a = sample();
         a.write_atomic(&path).unwrap();
@@ -910,7 +704,9 @@ mod tests {
 
         assert_eq!(RunState::load(&path).unwrap().next_step, 4);
         assert_eq!(
-            RunState::load(&sibling(&path, ".prev")).unwrap().next_step,
+            RunState::load(&durable::prev_path(&path))
+                .unwrap()
+                .next_step,
             3
         );
 
@@ -919,6 +715,40 @@ mod tests {
         assert_eq!(RunState::load_with_fallback(&path).unwrap().next_step, 3);
 
         let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(sibling(&path, ".prev"));
+        let _ = fs::remove_file(durable::prev_path(&path));
+    }
+
+    /// Overwrites little-endian `u32`s at arbitrary offsets with
+    /// log-uniform values, so tags, counts and dims get small and huge
+    /// values alike.
+    fn mutate(bytes: &mut [u8], edits: &[(usize, u32, u32)]) {
+        for &(at, v, shift) in edits {
+            let at = at % bytes.len();
+            let v = (v >> shift).to_le_bytes();
+            let n = v.len().min(bytes.len() - at);
+            bytes[at..at + n].copy_from_slice(&v[..n]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes (bare and behind a valid header) and a valid
+        /// encoding with corrupted length, dim and tag fields all decode to
+        /// `Ok` or a typed error, never a panic.
+        #[test]
+        fn hostile_bytes_decode_to_typed_errors(
+            body in proptest::collection::vec(0u8..=255, 0..256),
+            edits in proptest::collection::vec((0usize..1 << 16, 0u32..=u32::MAX, 0u32..32), 1..4),
+        ) {
+            let mut headed = b"CCQRUNS\x02".to_vec();
+            headed.extend(&body);
+            let mut mutated = sample().to_bytes();
+            mutate(&mut mutated, &edits);
+            for bytes in [body, headed, mutated] {
+                let decoded = RunState::from_bytes(&bytes);
+                prop_assert!(matches!(decoded, Ok(_) | Err(CcqError::CheckpointIo(_))));
+            }
+        }
     }
 }

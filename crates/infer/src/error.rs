@@ -1,5 +1,6 @@
 //! Error type for the packed-inference layer.
 
+use ccq_nn::durable::DurableError;
 use ccq_nn::NnError;
 use std::fmt;
 
@@ -41,6 +42,15 @@ impl std::error::Error for InferError {
 impl From<NnError> for InferError {
     fn from(e: NnError) -> Self {
         InferError::Net(e)
+    }
+}
+
+impl From<DurableError> for InferError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Io(msg) => InferError::PackIo(msg),
+            DurableError::Format(msg) => InferError::PackFormat(msg),
+        }
     }
 }
 

@@ -7,6 +7,7 @@ use ccq_models::mlp;
 use ccq_nn::{Mode, Network, PackedExec};
 use ccq_quant::{BitWidth, PolicyKind, QuantSpec};
 use ccq_tensor::Tensor;
+use proptest::prelude::*;
 use std::fs;
 
 /// A 4-layer MLP exercising every payload regime: int8, int4 (odd
@@ -46,6 +47,11 @@ fn capture_mixed() -> (PackedModel, Tensor, Tensor) {
 fn byte_round_trip_is_exact() {
     let (model, _, _) = capture_mixed();
     let bytes = model.to_bytes();
+    // Byte pin: any drift in the CCQPACK encoding changes this digest.
+    assert_eq!(
+        (ccq_nn::durable::fnv1a(&bytes), bytes.len()),
+        (0x3287_7f77_fc5d_038e, 535)
+    );
     let back = PackedModel::from_bytes(&bytes).unwrap();
     assert_eq!(back, model);
     assert_eq!(back.to_bytes(), bytes);
@@ -152,6 +158,24 @@ fn rejects_bad_magic_version_skew_and_truncation() {
         InferError::PackFormat(msg) => assert!(msg.contains("trailing"), "{msg}"),
         other => panic!("expected PackFormat, got {other:?}"),
     }
+
+    // Hostile state-tensor headers: an empty arch, no layers, then one
+    // rank-3 state tensor whose element count overflows (39 bytes), or
+    // a 16384x16384 one with no data behind it (must not reserve 1 GiB).
+    for dims in [&[u32::MAX; 3][..], &[16384, 16384]] {
+        let mut hostile = b"CCQPACK\x01\x00".to_vec();
+        hostile.extend(0u32.to_le_bytes()); // arch ""
+        hostile.push(1); // layers section
+        hostile.extend(0u32.to_le_bytes());
+        hostile.push(2); // state section
+        hostile.extend(1u32.to_le_bytes());
+        hostile.extend((dims.len() as u32).to_le_bytes());
+        dims.iter().for_each(|d| hostile.extend(d.to_le_bytes()));
+        assert!(matches!(
+            PackedModel::from_bytes(&hostile),
+            Err(InferError::PackFormat(_))
+        ));
+    }
 }
 
 #[test]
@@ -248,4 +272,38 @@ fn apply_rejects_structural_mismatch() {
         PackedModel::capture(&mut net, "mlp:6x8x4"),
         Err(InferError::Mismatch(_))
     ));
+}
+
+/// Overwrites little-endian `u32`s at arbitrary offsets with
+/// log-uniform values, so tags, counts and dims get small and huge
+/// values alike.
+fn mutate(bytes: &mut [u8], edits: &[(usize, u32, u32)]) {
+    for &(at, v, shift) in edits {
+        let at = at % bytes.len();
+        let v = (v >> shift).to_le_bytes();
+        let n = v.len().min(bytes.len() - at);
+        bytes[at..at + n].copy_from_slice(&v[..n]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes (bare and behind a valid header) and a valid
+    /// encoding with corrupted length, dim and tag fields all decode to
+    /// `Ok` or a typed error, never a panic.
+    #[test]
+    fn hostile_bytes_decode_to_typed_errors(
+        body in proptest::collection::vec(0u8..=255, 0..256),
+        edits in proptest::collection::vec((0usize..1 << 16, 0u32..=u32::MAX, 0u32..32), 1..4),
+    ) {
+        let mut headed = b"CCQPACK\x01".to_vec();
+        headed.extend(&body);
+        let mut mutated = capture_mixed().0.to_bytes();
+        mutate(&mut mutated, &edits);
+        for bytes in [body, headed, mutated] {
+            let decoded = PackedModel::from_bytes(&bytes);
+            prop_assert!(matches!(decoded, Ok(_) | Err(InferError::PackFormat(_))));
+        }
+    }
 }

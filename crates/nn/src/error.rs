@@ -1,5 +1,6 @@
 //! Error type for network construction and execution.
 
+use crate::durable::DurableError;
 use ccq_tensor::TensorError;
 use std::fmt;
 
@@ -94,6 +95,15 @@ impl std::error::Error for NnError {
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)
+    }
+}
+
+impl From<DurableError> for NnError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Io(msg) => NnError::CheckpointIo(msg),
+            DurableError::Format(msg) => NnError::CheckpointFormat(msg),
+        }
     }
 }
 

@@ -19,7 +19,9 @@
 //!   accumulators) used to validate that fake-quantization matches what
 //!   deployment hardware computes;
 //! - [`checkpoint`] — dependency-free binary save/load of trained
-//!   networks including their mixed-precision assignment.
+//!   networks including their mixed-precision assignment;
+//! - [`durable`] — the crash-safe writer, `.prev` fallback and
+//!   bounds-checked byte codec shared by every persisted format.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod durable;
 mod error;
 pub mod integer;
 mod layer;
@@ -54,8 +57,6 @@ mod param;
 pub mod schedule;
 pub mod train;
 
-#[cfg(feature = "fault-inject")]
-pub use checkpoint::CkptFaults;
 pub use error::NnError;
 pub use layer::{Layer, Mode, PackedExec, QuantHandle, StateTag};
 pub use network::{Network, NetworkState, PackOutcome, QuantLayerInfo};

@@ -15,11 +15,12 @@
 //! daemon resumes it bit-for-bit.
 
 use crate::error::Result;
-use crate::spool::{atomic_write_text, Dir, Spool};
+use crate::spool::{Dir, Spool};
 use crate::status::{JobPhase, JobStatus};
 use crate::supervisor::{Decision, RetryPolicy, Supervisor};
 use crate::worker::{execute_job, AttemptOutcome};
 use ccq::MetricsRegistry;
+use ccq_nn::durable::{write_atomic, Rotate};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -303,7 +304,11 @@ pub fn run_daemon(spool: &Spool, cfg: &DaemonConfig, stop: &AtomicBool) -> Resul
     reg.inc("ccq_serve_claims_total", &[], report.claims as u64);
     reg.inc("ccq_serve_resumes_total", &[], report.resumes as u64);
     reg.inc("ccq_serve_retries_total", &[], report.retries as u64);
-    atomic_write_text(&spool.metrics_path(), &reg.render_text())?;
+    write_atomic(
+        &spool.metrics_path(),
+        reg.render_text().as_bytes(),
+        Rotate::Replace,
+    )?;
     Ok(report)
 }
 

@@ -1,6 +1,7 @@
 //! Error type for the serving layer.
 
 use ccq::CcqError;
+use ccq_nn::durable::DurableError;
 use std::fmt;
 
 /// Errors surfaced by the job daemon and its spool/spec layers.
@@ -41,6 +42,12 @@ impl std::error::Error for ServeError {
 impl From<CcqError> for ServeError {
     fn from(e: CcqError) -> Self {
         ServeError::Run(e)
+    }
+}
+
+impl From<DurableError> for ServeError {
+    fn from(e: DurableError) -> Self {
+        ServeError::Io(e.to_string())
     }
 }
 

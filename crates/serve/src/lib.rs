@@ -9,7 +9,9 @@
 //! The robustness contract, end to end:
 //!
 //! - **Atomic state.** Every spool mutation — spec, status, run state,
-//!   report — is tmp + fsync + rename + parent-dir fsync; state
+//!   report, packed artifact — goes through the one durable writer,
+//!   [`ccq_nn::durable::write_atomic`] (tmp + fsync + rename +
+//!   parent-dir fsync); state
 //!   transitions are renames with the `.job` file moved last, so the
 //!   spool is never torn.
 //! - **Supervised execution.** Typed errors are classified by the
@@ -41,7 +43,7 @@ pub mod worker;
 pub use daemon::{run_daemon, DaemonConfig, DaemonReport};
 pub use error::{Result, ServeError};
 pub use spec::JobSpec;
-pub use spool::{atomic_write_text, Dir, Spool};
+pub use spool::{Dir, Spool};
 pub use status::{JobPhase, JobStatus};
 pub use supervisor::{classify, Decision, ErrorClass, RetryPolicy, Supervisor};
 pub use worker::{

@@ -22,8 +22,8 @@
 
 use crate::error::{io_err, Result, ServeError};
 use crate::spec::JobSpec;
+use ccq_nn::durable::{sync_dir, write_atomic, Rotate};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The five job states, each backed by a directory under the root.
@@ -210,7 +210,12 @@ impl Spool {
                 d.name()
             )));
         }
-        atomic_write_text(&self.job_path(Dir::Pending, &spec.name), &spec.render())
+        let path = self.job_path(Dir::Pending, &spec.name);
+        Ok(write_atomic(
+            &path,
+            spec.render().as_bytes(),
+            Rotate::Replace,
+        )?)
     }
 
     /// Reads and parses a job's spec from state `d`.
@@ -264,7 +269,7 @@ impl Spool {
     ///
     /// Returns [`ServeError::Io`] on a write failure.
     pub fn request_stop(&self) -> Result<()> {
-        atomic_write_text(&self.stop_path(), "stop\n")
+        Ok(write_atomic(&self.stop_path(), b"stop\n", Rotate::Replace)?)
     }
 
     /// Whether a graceful shutdown has been requested.
@@ -286,41 +291,6 @@ impl Spool {
             Err(e) => Err(io_err("remove", &p, e)),
         }
     }
-}
-
-/// Writes `text` to `path` with full crash-safety discipline: temp file
-/// in the same directory, data fsync, atomic rename over the target,
-/// parent-directory fsync.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Io`] naming the failing step and path.
-pub fn atomic_write_text(path: &Path, text: &str) -> Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        f.write_all(text.as_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))?;
-    if let Some(dir) = path.parent() {
-        sync_dir(dir)?;
-    }
-    Ok(())
-}
-
-/// Fsyncs a directory so a preceding rename survives power loss. A
-/// directory that cannot be *opened* is skipped silently (some
-/// filesystems refuse O_RDONLY on directories); a failed sync on an
-/// opened directory is an error.
-fn sync_dir(dir: &Path) -> Result<()> {
-    if let Ok(d) = fs::File::open(dir) {
-        d.sync_all().map_err(|e| io_err("fsync dir", dir, e))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -394,20 +364,6 @@ mod tests {
         spool.clear_stop().expect("clear");
         spool.clear_stop().expect("clear is idempotent");
         assert!(!spool.stop_requested());
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn atomic_write_leaves_no_tmp_and_replaces_contents() {
-        let root = temp_root("atomic");
-        fs::create_dir_all(&root).expect("mkdir");
-        let p = root.join("f.txt");
-        atomic_write_text(&p, "one\n").expect("write");
-        atomic_write_text(&p, "two\n").expect("overwrite");
-        assert_eq!(fs::read_to_string(&p).expect("read"), "two\n");
-        let mut tmp = p.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        assert!(!PathBuf::from(tmp).exists());
         fs::remove_dir_all(&root).ok();
     }
 }

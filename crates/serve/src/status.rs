@@ -5,7 +5,7 @@
 //! current run resumed from an autosave.
 
 use crate::error::{io_err, Result, ServeError};
-use crate::spool::atomic_write_text;
+use ccq_nn::durable::{write_atomic, Rotate};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -169,7 +169,11 @@ impl JobStatus {
     ///
     /// Returns [`ServeError::Io`] on a write failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        atomic_write_text(path, &self.render())
+        Ok(write_atomic(
+            path,
+            self.render().as_bytes(),
+            Rotate::Replace,
+        )?)
     }
 
     /// Loads a status file; a missing file reads as [`JobStatus::pending`]

@@ -25,13 +25,14 @@
 
 use crate::error::{io_err, Result, ServeError};
 use crate::spec::JobSpec;
-use crate::spool::{atomic_write_text, Dir, Spool};
+use crate::spool::{Dir, Spool};
 use ccq::event::event_json;
 use ccq::{
     parse_event_line, CcqError, CcqRunner, DescentEvent, DriveOutcome, EventSink, FaultPlan,
     RunControl, RunState, StartPoint,
 };
 use ccq_infer::PackedModel;
+use ccq_nn::durable::{prev_path, write_atomic, Rotate};
 use ccq_nn::train::train_epoch;
 use ccq_nn::Sgd;
 use ccq_tensor::{rng, Rng64};
@@ -104,13 +105,6 @@ pub fn scan_recovery_points(events_path: &Path) -> Vec<RecoveryPoint> {
         offset = end;
     }
     points
-}
-
-/// The `.prev` generation path of a run-state file.
-fn prev_path(state_path: &Path) -> PathBuf {
-    let mut p = state_path.as_os_str().to_os_string();
-    p.push(".prev");
-    PathBuf::from(p)
 }
 
 /// Picks the resume state (see the [module docs](self)) and truncates
@@ -342,7 +336,11 @@ pub fn execute_job_with_control(
         DriveOutcome::Finished(report) => {
             let pack_lines = write_pack_artifact(spool, spec, &mut net)?;
             let text = format!("{report}\n{pack_lines}");
-            atomic_write_text(&spool.report_path(Dir::Running, id), &text)?;
+            write_atomic(
+                &spool.report_path(Dir::Running, id),
+                text.as_bytes(),
+                Rotate::Replace,
+            )?;
             Ok(AttemptResult {
                 resumed,
                 outcome: AttemptOutcome::Finished,
@@ -544,25 +542,33 @@ mod tests {
         fs::remove_dir_all(&root).ok();
     }
 
+    /// The shared durable writer's fault path, end to end: the
+    /// post-rename dir-sync seam fires inside a real autosave.
     #[test]
     fn injected_dir_sync_fault_surfaces_as_checkpoint_io() {
         let (root, spool) = temp_spool("fault");
         let spec = claimed_demo(&spool, "j", 0);
+        let retries = spec.to_config().expect("config").autosave_retries;
+        assert!(retries > 0, "the demo spec retries failed autosaves");
+
+        // One failure is absorbed by the autosave retry.
         let plan = FaultPlan::new().fail_dir_syncs(1);
-        // autosave_retries defaults to >0? The spec's config uses the
-        // core default; a single injected failure may be absorbed by the
-        // retry. Assert only that the run either fails with CheckpointIo
-        // or completes (retry absorbed it) — and that a clean rerun
-        // finishes either way.
+        let res = execute_job(&spool, &spec, &|| false, Some(plan)).expect("absorbed");
+        assert_eq!(res.outcome, AttemptOutcome::Finished);
+
+        // One more than the retry budget fails the attempt with a typed
+        // error, after the rename landed.
+        let spec = claimed_demo(&spool, "k", 0);
+        let plan = FaultPlan::new().fail_dir_syncs(retries + 1);
         match execute_job(&spool, &spec, &|| false, Some(plan)) {
-            Ok(res) => assert_eq!(res.outcome, AttemptOutcome::Finished),
             Err(ServeError::Run(CcqError::CheckpointIo(msg))) => {
-                assert!(msg.contains("injected"));
-                let res = execute_job(&spool, &spec, &|| false, None).expect("retry");
-                assert_eq!(res.outcome, AttemptOutcome::Finished);
+                assert!(msg.contains("injected"), "{msg}");
             }
-            Err(other) => panic!("unexpected error {other:?}"),
+            other => panic!("expected an injected CheckpointIo, got {other:?}"),
         }
+        assert!(spool.state_path(Dir::Running, "k").exists());
+        let res = execute_job(&spool, &spec, &|| false, None).expect("clean rerun");
+        assert_eq!(res.outcome, AttemptOutcome::Finished);
         fs::remove_dir_all(&root).ok();
     }
 }
