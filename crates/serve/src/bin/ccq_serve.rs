@@ -18,9 +18,7 @@
 // A CLI talks on stdout/stderr by design.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use ccq_serve::{
-    run_daemon, DaemonConfig, Dir, JobSpec, JobStatus, RetryPolicy, ServeError, Spool,
-};
+use ccq_serve::{run_daemon, DaemonConfig, Dir, JobSpec, JobStatus, ServeError, Spool};
 use std::io::Read as _;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -82,19 +80,22 @@ fn run(args: &[String]) -> Result<ExitCode, ServeError> {
         }
         "run" => {
             let root = expect_arg(args, 1, "root")?;
-            let mut retry = RetryPolicy::default();
+            let mut cfg = DaemonConfig {
+                drain: args.iter().any(|a| a == "--drain"),
+                ..DaemonConfig::default()
+            };
+            if let Some(n) = flag_value(args, "--workers")? {
+                cfg.workers = n;
+            }
+            if let Some(ms) = flag_value(args, "--poll-ms")? {
+                cfg.poll_ms = ms;
+            }
             if let Some(n) = flag_value(args, "--max-retries")? {
-                retry.max_retries = n;
+                cfg.retry.max_retries = n;
             }
             if let Some(ms) = flag_value(args, "--base-backoff-ms")? {
-                retry.base_backoff_ms = ms;
+                cfg.retry.base_backoff_ms = ms;
             }
-            let cfg = DaemonConfig {
-                workers: flag_value(args, "--workers")?.unwrap_or(2),
-                poll_ms: flag_value(args, "--poll-ms")?.unwrap_or(50),
-                drain: args.iter().any(|a| a == "--drain"),
-                retry,
-            };
             let spool = Spool::new(root);
             let report = run_daemon(&spool, &cfg, &AtomicBool::new(false))?;
             println!(

@@ -7,6 +7,12 @@
 //! arbitration is a mutex-guarded [`BTreeSet`] of owned ids, so exactly
 //! one worker touches a job's artifacts at a time.
 //!
+//! A worker that finds nothing to claim waits on a [`Condvar`] that
+//! every job release signals, so a drain ends the moment its last job
+//! is released. [`DaemonConfig::poll_ms`] bounds the wait: it is only
+//! how late an idle daemon notices what no release signals, namely jobs
+//! enqueued by another process and a raised stop.
+//!
 //! Shutdown is cooperative: an in-process [`AtomicBool`] or the spool's
 //! `stop` sentinel file (the cross-process channel — the workspace
 //! forbids `unsafe`, hence no signal handlers; `SIGKILL` is handled by
@@ -23,7 +29,7 @@ use ccq::MetricsRegistry;
 use ccq_nn::durable::{write_atomic, Rotate};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Daemon configuration.
@@ -31,7 +37,11 @@ use std::time::Duration;
 pub struct DaemonConfig {
     /// Worker threads (min 1).
     pub workers: usize,
-    /// Idle poll interval when the queue is empty, in milliseconds.
+    /// Upper bound, in milliseconds, on how long an idle worker waits
+    /// before rescanning `pending/` and the stop sentinel. A job release
+    /// wakes idle workers at once, so this never delays a drain; it only
+    /// bounds how late an idle daemon notices jobs enqueued by another
+    /// process and a raised stop.
     pub poll_ms: u64,
     /// Exit once `pending/` is empty and every claimed job is disposed
     /// of, instead of idling for new work.
@@ -81,6 +91,8 @@ struct Shared<'a> {
     cfg: &'a DaemonConfig,
     stop: &'a AtomicBool,
     state: Mutex<State>,
+    /// Signalled on every job release; idle workers wait on it.
+    wake: Condvar,
 }
 
 /// Mutex lock that shrugs off poisoning: a panicking worker must not
@@ -132,14 +144,27 @@ impl Shared<'_> {
     fn release(&self) {
         let mut st = lock(&self.state);
         st.busy = st.busy.saturating_sub(1);
+        drop(st);
+        self.wake.notify_all();
     }
 
     fn bump(&self, f: impl FnOnce(&mut DaemonReport)) {
         f(&mut lock(&self.state).report);
     }
 
-    fn idle_and_drained(&self) -> bool {
-        lock(&self.state).busy == 0
+    /// Parks an idle worker until a job is released or `poll_ms`
+    /// passes. Returns `false` when a drain is complete: nothing was
+    /// claimable and no job is in flight. The busy check and the wait
+    /// share one lock acquisition, so a release cannot slip between
+    /// them unseen.
+    fn wait_for_work(&self) -> bool {
+        let st = lock(&self.state);
+        if self.cfg.drain && st.busy == 0 {
+            return false;
+        }
+        let poll = Duration::from_millis(self.cfg.poll_ms.max(1));
+        drop(self.wake.wait_timeout(st, poll));
+        true
     }
 }
 
@@ -154,10 +179,9 @@ fn worker_loop(shared: &Shared<'_>) {
                 shared.release();
             }
             None => {
-                if shared.cfg.drain && shared.idle_and_drained() {
+                if !shared.wait_for_work() {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(shared.cfg.poll_ms.max(1)));
             }
         }
     }
@@ -285,6 +309,7 @@ pub fn run_daemon(spool: &Spool, cfg: &DaemonConfig, stop: &AtomicBool) -> Resul
             busy: 0,
             report: DaemonReport::default(),
         }),
+        wake: Condvar::new(),
     };
     std::thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
@@ -364,6 +389,36 @@ mod tests {
         }
         let metrics = fs::read_to_string(spool.metrics_path()).expect("metrics");
         assert!(metrics.contains("ccq_serve_jobs_total"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn drain_ends_when_the_last_job_is_released_not_after_a_poll() {
+        // Three jobs on two workers: one worker runs out of work while
+        // its peer is still busy. The drain must end when the
+        // peer releases its job, not when the idle worker's poll
+        // interval runs out.
+        let (root, spool) = temp_spool("wake");
+        for (i, id) in ["job-a", "job-b", "job-c"].into_iter().enumerate() {
+            spool.enqueue(&quick_demo(id, i as u64)).expect("enqueue");
+        }
+        let cfg = DaemonConfig {
+            workers: 2,
+            poll_ms: 60_000,
+            drain: true,
+            ..DaemonConfig::default()
+        };
+        let t0 = std::time::Instant::now();
+        let report = run_daemon(&spool, &cfg, &AtomicBool::new(false)).expect("daemon");
+        let took = t0.elapsed();
+        assert_eq!(report.done, 3, "{report:?}");
+        // A debug build drains this queue in about 0.35 s on a 2-CPU
+        // host; 10 s leaves ~30x headroom for a loaded machine and is
+        // still a sixth of one poll interval.
+        assert!(
+            took < Duration::from_secs(10),
+            "drain took {took:?}: an idle worker slept through its poll interval"
+        );
         fs::remove_dir_all(&root).ok();
     }
 

@@ -253,11 +253,10 @@ impl JobSpec {
             parse_num::<f32>(get("data_std"), "data_std", 0.4)?,
             parse_num::<u64>(get("data_seed"), "data_seed", 0)?,
         )?;
-        let split = parse_num::<usize>(
-            get("split"),
-            "split",
-            data.classes * data.samples_per_class * 3 / 4,
-        )?;
+        // The default split trains on the first three quarters; the
+        // quarter is taken before the multiply so it cannot overflow.
+        let total = total_samples(&data)?;
+        let split = parse_num::<usize>(get("split"), "split", total / 4 * 3 + total % 4 * 3 / 4)?;
         let spec = JobSpec {
             name,
             mlp_dims,
@@ -316,7 +315,7 @@ impl JobSpec {
                 self.data.classes
             ));
         }
-        let total = self.data.classes * self.data.samples_per_class;
+        let total = total_samples(&self.data)?;
         if self.split == 0 || self.split >= total {
             return bad(format!(
                 "split {} must be in 1..{total} (total samples)",
@@ -424,6 +423,19 @@ fn parse_data(v: &str, std: f32, seed: u64) -> Result<BlobsConfig> {
         std,
         seed,
     })
+}
+
+/// The recipe's sample count, `classes × samples_per_class`, or a
+/// typed error when the product does not fit in a `usize`.
+fn total_samples(data: &BlobsConfig) -> Result<usize> {
+    data.classes
+        .checked_mul(data.samples_per_class)
+        .ok_or_else(|| {
+            ServeError::Spec(format!(
+                "data blobs:{}x{}x{}: sample count overflows",
+                data.classes, data.dim, data.samples_per_class
+            ))
+        })
 }
 
 fn parse_ladder(v: &str) -> Result<Vec<u32>> {
@@ -623,6 +635,20 @@ mod tests {
             .replace("searcher = hedge", "searcher = oracle");
         let err = JobSpec::parse(&bad).expect_err("unknown searcher rejected");
         assert!(err.to_string().contains("oracle"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_sample_count_is_a_typed_error() {
+        // 2^32 classes × 2^32 samples per class overflows a 64-bit
+        // usize; with no split line the default split multiplies them.
+        let hostile = "ccq-job v1\nname = tiny\nmodel = mlp:8x4294967296\npolicy = pact\n\
+                       data = blobs:4294967296x8x4294967296\nladder = 8,4\nrecovery = manual:1\n";
+        let err = JobSpec::parse(hostile).expect_err("overflow rejected");
+        assert!(matches!(err, ServeError::Spec(_)), "{err:?}");
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let with_split = hostile.replace("ladder", "split = 4\nladder");
+        let err = JobSpec::parse(&with_split).expect_err("validate rejects it too");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

@@ -116,6 +116,12 @@ for id in smoke-a smoke-b; do
   cmp "results/serve_events_ref_$id.norm" "results/serve_events_kill_$id.norm" || exit 1
 done
 
+# --- benchmark smoke: perfbench's own tests run all four workloads at
+# smoke size with every check on, including the serve-drain .ccqpack
+# digest pins for seeds 0 and 7 (the daemon's byte-identity under the
+# benchmark's queue) ---
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml > results/perfbench_test.log 2>&1 || exit 1
+
 # --- searcher gate: the intro workload must reach its 10x compression
 # target under every compete-phase strategy; --assert-done makes each
 # run exit nonzero when the search stops short (see DESIGN.md §15) ---
