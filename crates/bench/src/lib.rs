@@ -8,7 +8,7 @@
 use ccq::{DescentEvent, EventSink};
 use ccq_data::{synth_cifar, Augment, ImageDataset, SynthCifarConfig};
 use ccq_models::{ModelConfig, ModelKind};
-use ccq_nn::train::{evaluate, train_epoch, Batch};
+use ccq_nn::train::{evaluate, train_epoch};
 use ccq_nn::{Network, Sgd};
 use ccq_quant::PolicyKind;
 use ccq_tensor::rng;
@@ -227,12 +227,6 @@ impl EventSink for SummarySink {
             _ => {}
         }
     }
-}
-
-/// Convenience: training batches without augmentation (evaluation-style
-/// stacking) — used by baselines that take `&[Batch]`.
-pub fn plain_batches(ds: &ImageDataset, batch_size: usize) -> Vec<Batch> {
-    ds.batches(batch_size)
 }
 
 /// Formats a ratio like `10.27x`.

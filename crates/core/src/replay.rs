@@ -180,12 +180,13 @@ pub fn parse_probe_cache_stats(json: &str) -> Result<crate::ProbeCacheStats, Rep
     if !rest.trim().is_empty() {
         return Err(at("trailing bytes after JSON object".into()));
     }
-    let u64_field = |key: &str| -> Result<u64, ReplayError> {
-        match v.field(key).map_err(at)? {
+    let count = |c: &Json, what: &str| -> Result<u64, ReplayError> {
+        match c {
             Json::Num(x) if *x >= 0.0 && x.fract().abs() < f64::EPSILON => Ok(*x as u64),
-            _ => Err(at(format!("field \"{key}\" is not a non-negative integer"))),
+            _ => Err(at(format!("{what} is not a non-negative integer"))),
         }
     };
+    let u64_field = |key: &str| count(v.field(key).map_err(at)?, &format!("field \"{key}\""));
     let mut stats = crate::ProbeCacheStats {
         hits: u64_field("hits")?,
         misses: u64_field("misses")?,
@@ -196,14 +197,12 @@ pub fn parse_probe_cache_stats(json: &str) -> Result<crate::ProbeCacheStats, Rep
     let Json::Object(hist) = v.field("depth_hist").map_err(at)? else {
         return Err(at("field \"depth_hist\" is not an object".into()));
     };
-    for (key, count) in hist {
+    for (key, c) in hist {
         let skipped: usize = key
             .parse()
             .map_err(|_| at(format!("depth_hist key \"{key}\" is not an integer")))?;
-        let Json::Num(c) = count else {
-            return Err(at(format!("depth_hist[\"{key}\"] is not a number")));
-        };
-        stats.depth_hist.insert(skipped, *c as u64);
+        let c = count(c, &format!("depth_hist[\"{key}\"]"))?;
+        stats.depth_hist.insert(skipped, c);
     }
     Ok(stats)
 }
@@ -514,10 +513,24 @@ enum Json {
     Object(BTreeMap<String, Json>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. `event_json`
+/// emits at most 3 levels (a probe object inside the `probes` array of
+/// an event object); the cap turns a hostile `[[[[…` line into a typed
+/// error instead of a stack overflow.
+const MAX_DEPTH: usize = 32;
+
 impl Json {
     /// Parses one JSON value off the front of `s`, returning the rest.
     fn parse(s: &str) -> Result<(Json, &str), String> {
+        Self::parse_nested(s, 0)
+    }
+
+    /// [`Json::parse`] for a value inside `depth` enclosing containers.
+    fn parse_nested(s: &str, depth: usize) -> Result<(Json, &str), String> {
         let s = s.trim_start();
+        if s.starts_with(['[', '{']) && depth >= MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
         let first = s.chars().next().ok_or("unexpected end of input")?;
         match first {
             'n' => s
@@ -540,7 +553,7 @@ impl Json {
                     return Ok((Json::Array(items), r));
                 }
                 loop {
-                    let (v, r) = Self::parse(rest)?;
+                    let (v, r) = Self::parse_nested(rest, depth + 1)?;
                     items.push(v);
                     let r = r.trim_start();
                     if let Some(r) = r.strip_prefix(',') {
@@ -567,7 +580,7 @@ impl Json {
                         .trim_start()
                         .strip_prefix(':')
                         .ok_or("expected ':' after object key")?;
-                    let (v, r) = Self::parse(r)?;
+                    let (v, r) = Self::parse_nested(r, depth + 1)?;
                     map.insert(key, v);
                     let r = r.trim_start();
                     if let Some(r) = r.strip_prefix(',') {
@@ -876,7 +889,28 @@ mod tests {
         assert_eq!(json, render_probe_cache_stats(&back));
         // Malformed sidecars are rejected, not misread.
         assert!(parse_probe_cache_stats("{\"hits\": -1}").is_err());
+        // Histogram counts go through the same non-negative-integer
+        // check as the top-level counts.
+        for bad in ["-5.7", "-1", "0.5", "null", "\"3\""] {
+            let hostile = json.replace("\"3\": 20", &format!("\"3\": {bad}"));
+            assert_ne!(hostile, json);
+            let err = parse_probe_cache_stats(&hostile).expect_err(bad);
+            assert!(err.message.contains("depth_hist[\"3\"]"), "{err}");
+        }
         assert!(parse_probe_cache_stats("{}").is_err());
         assert!(parse_probe_cache_stats(&format!("{json} trailing")).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_events(&deep).expect_err("deep nesting");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(parse_events_lenient(&format!("{deep}\n{{}}\n")).is_err());
+        assert!(parse_probe_cache_stats(&"{\"a\": ".repeat(100_000)).is_err());
+        // Nesting as deep as the emitter writes still parses.
+        let line = event_json(&sample_events()[2]);
+        assert_eq!(parse_events(&line).expect("probe round").len(), 1);
     }
 }

@@ -1,8 +1,8 @@
 //! Numeric kernels: matrix products, convolution lowering, reductions.
 //!
 //! All kernels operate on plain contiguous buffers; none allocate more than
-//! their output. These are the hot paths measured by the criterion benches
-//! in `ccq-bench`.
+//! their output. These are the hot paths the benchmark times as its
+//! `tensor.<kernel>.<shape>_ms` rows (see `perfbench/METRICS.md`).
 
 mod conv;
 mod intmm;

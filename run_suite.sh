@@ -1,6 +1,6 @@
 #!/bin/bash
 # Gate (tests, serial-build tests, clippy), then regenerate every table
-# and figure of the paper into results/, plus the parallel bench snapshot.
+# and figure of the paper into results/.
 set -x
 cd /root/repo
 mkdir -p results
@@ -131,25 +131,20 @@ for S in hedge zero-bit releq one-shot; do
     > "results/search_$S.log" 2>&1 || exit 1
 done
 
-# --- bench-smoke gate: the snapshot benchmarks must run at one rep on
-# the serial AND parallel builds, write parseable JSON, incremental
-# probing must never lose to full-forward probing, and packed execution
-# must stay bit-exact with >=2x compression (bench_simd and bench_pack
-# --smoke self-check their snapshots and enforce their floors) ---
-cargo build --release -p ccq-bench --no-default-features 2> results/build_serial.log || exit 1
-CCQ_BENCH_REPS=1 target/release/bench_parallel results/bench_parallel_smoke_serial.json > /dev/null 2> results/bench_smoke_serial.log || exit 1
-test -s results/bench_parallel_smoke_serial.json || exit 1
-target/release/bench_simd --smoke results/bench_simd_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
-target/release/bench_pack --smoke results/bench_pack_smoke_serial.json > /dev/null 2>> results/bench_smoke_serial.log || exit 1
+# --- speed-floor gate: incremental competition probes must never lose
+# to full-forward probes, timed in release on the serial AND parallel
+# builds (tests/incremental_probe_speed.rs; its own binary so nothing
+# else runs while it times). The packed-execution floors (dequant
+# bit-exact, integer bound, >=2x compression, CCQPACK disk round trip)
+# run in tests/packed_vs_fakequant.rs under both workspace test runs ---
+cargo test --release -q --test incremental_probe_speed 2> results/speed_floor.log || exit 1
+cargo test --release -q --no-default-features --test incremental_probe_speed 2>> results/speed_floor.log || exit 1
 cargo build --release -p ccq-bench 2> results/build.log || exit 1
-CCQ_BENCH_REPS=1 target/release/bench_parallel results/bench_parallel_smoke.json > /dev/null 2> results/bench_smoke.log || exit 1
-test -s results/bench_parallel_smoke.json || exit 1
-target/release/bench_simd --smoke results/bench_simd_smoke.json > /dev/null 2>> results/bench_smoke.log || exit 1
-target/release/bench_pack --smoke results/bench_pack_smoke.json > /dev/null 2>> results/bench_smoke.log || exit 1
-# the packed artifacts — the bench demo and a daemon job's sidecar —
-# must load and summarize through the deploy-side reader
-target/release/ccq-report --packed results/demo.ccqpack > results/packed_report.txt 2>> results/bench_smoke.log || exit 1
-target/release/ccq-report --packed results/serve_ref/done/smoke-a.ccqpack >> results/packed_report.txt 2>> results/bench_smoke.log || exit 1
+# the daemon's packed sidecars must load and summarize through the
+# deploy-side reader
+for id in smoke-a smoke-b; do
+  target/release/ccq-report --packed "results/serve_ref/done/$id.ccqpack" || exit 1
+done > results/packed_report.txt 2> results/packed_report.log
 grep -c '^CCQPACK ' results/packed_report.txt | grep -qx 2 || exit 1
 
 # --- experiment harness ---
@@ -161,6 +156,4 @@ time target/release/fig1_lambda > results/fig1_lambda.csv 2> results/fig1_lambda
 time target/release/table1 > results/table1.csv 2> results/table1.log
 time target/release/ablations > results/ablations.csv 2> results/ablations.log
 time target/release/table2 > results/table2.csv 2> results/table2.log
-time target/release/bench_parallel BENCH_parallel.json 2> results/bench_parallel.log
-time target/release/bench_pack BENCH_pack.json > results/bench_pack.log 2>&1
 echo ALL_DONE
